@@ -37,7 +37,7 @@ fn bench_skeleton_reconstruction(c: &mut Criterion) {
     let circuit = jagged_circuit(12, 9);
     let db = NeuroDb::from_circuit(&circuit);
     let q = Aabb::cube(circuit.bounds().center(), 25.0);
-    let out = db.range_query(&q);
+    let out = db.query().range(q).collect().expect("range query");
     let result: Vec<&NeuronSegment> = out.segments.iter().collect();
 
     let mut group = c.benchmark_group("e4_skeleton");

@@ -5,7 +5,7 @@
 //! query pays zero registration allocations). Every range/KNN funnel in
 //! [`crate::query`] bumps the exact traversal counter, folds its
 //! [`QueryStats`] into per-thread cells (flushed to the shared work
-//! counters every [`SAMPLE_EVERY`] traversals and at thread exit), and
+//! counters every `SAMPLE_EVERY` traversals and at thread exit), and
 //! opens a [`neurospatial_obs::Stage::Traversal`] span timed into the
 //! latency histogram on a sampled subset of calls — a single-digit
 //! nanosecond steady-state tax on sub-microsecond selective queries.

@@ -31,44 +31,49 @@ impl CandidateTracker {
     /// Update with the skeleton of the latest query result. Returns the
     /// indices (into `skeleton.structures`) of the surviving candidates.
     pub fn advance(&mut self, skeleton: &Skeleton) -> Vec<usize> {
-        let exiting: Vec<usize> = skeleton
-            .structures
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.exits.is_empty())
-            .map(|(i, _)| i)
-            .collect();
+        let mut survivors = Vec::new();
+        self.advance_into(skeleton, &mut survivors);
+        survivors
+    }
 
-        let survivors: Vec<usize> = if self.pool.is_empty() {
-            // First query of the sequence: every exiting structure is a
-            // candidate.
-            exiting
-        } else {
-            let prev = &self.pool;
-            let matched: Vec<usize> = exiting
+    /// [`advance`](Self::advance) writing the survivors into `survivors`
+    /// (cleared first) and rebuilding the candidate pool in place.
+    pub fn advance_into(&mut self, skeleton: &Skeleton, survivors: &mut Vec<usize>) {
+        survivors.clear();
+        survivors.extend(
+            skeleton
+                .structures
                 .iter()
-                .copied()
-                .filter(|&i| skeleton.structures[i].shares_segments_with(prev))
-                .collect();
-            if matched.is_empty() {
-                // Track lost (user jumped, or the structure ended): reset
-                // to all exiting structures rather than predicting nothing.
-                exiting
-            } else {
-                matched
+                .enumerate()
+                .filter(|(_, s)| !s.exits.is_empty())
+                .map(|(i, _)| i),
+        );
+        // On the first query of the sequence every exiting structure is a
+        // candidate. Later, keep those sharing segments with the pool.
+        if !self.pool.is_empty() {
+            let exiting = survivors.len();
+            for k in 0..exiting {
+                let i = survivors[k];
+                if skeleton.structures[i].shares_segments_with(&self.pool) {
+                    survivors.push(i);
+                }
             }
-        };
+            // No match means the track was lost (user jumped, or the
+            // structure ended): keep all exiting structures rather than
+            // predicting nothing.
+            if survivors.len() > exiting {
+                survivors.drain(..exiting);
+            }
+        }
 
         // New pool: union of survivor segment ids.
-        let mut pool = Vec::new();
-        for &i in &survivors {
-            pool.extend_from_slice(&skeleton.structures[i].segment_ids);
+        self.pool.clear();
+        for &i in survivors.iter() {
+            self.pool.extend_from_slice(&skeleton.structures[i].segment_ids);
         }
-        pool.sort_unstable();
-        pool.dedup();
-        self.pool = pool;
+        self.pool.sort_unstable();
+        self.pool.dedup();
         self.history.push(survivors.len());
-        survivors
     }
 
     /// Candidate counts after each query — non-increasing while the track

@@ -49,4 +49,4 @@ pub use prefetch::{
     Prefetcher, ScoutPrefetcher,
 };
 pub use session::{ExplorationSession, QueryTrace, SessionConfig, SessionCursor, SessionStats};
-pub use skeleton::{Skeleton, SkeletonParams, Structure};
+pub use skeleton::{Skeleton, SkeletonParams, SkeletonScratch, Structure};

@@ -752,8 +752,21 @@ impl OocFlatIndex {
     /// page I/O). Prefetch policies use this to translate predicted
     /// regions into pages.
     pub fn pages_intersecting(&self, q: &Aabb) -> Vec<u32> {
-        let (entries, _) = self.seed_tree.range_query(q);
-        entries.into_iter().map(|e| e.page).collect()
+        let mut pages = Vec::new();
+        self.for_each_page_intersecting(q, &mut TraversalScratch::default(), |p| pages.push(p));
+        pages
+    }
+
+    /// [`pages_intersecting`](Self::pages_intersecting) without the
+    /// result `Vec`: each page id goes to `sink`, in the same order, and
+    /// the seed-tree traversal state lives in `scratch`.
+    pub fn for_each_page_intersecting<S: FnMut(u32)>(
+        &self,
+        q: &Aabb,
+        scratch: &mut TraversalScratch,
+        mut sink: S,
+    ) {
+        self.seed_tree.range_query_scratch(q, scratch, |e| sink(e.page));
     }
 
     /// Resident memory of the paged engine: frames + metadata + seed
@@ -969,6 +982,8 @@ impl OocFlatIndex {
             scratch: OocScratch::default(),
             result: Vec::new(),
             pages_read: Vec::new(),
+            plan_pages: Vec::new(),
+            plan_marks: EpochMarks::default(),
         }
     }
 }
@@ -994,11 +1009,25 @@ pub struct OocCursor<'a> {
     scratch: OocScratch,
     result: Vec<NeuronSegment>,
     pages_read: Vec<u32>,
+    /// The pages of the current think-time plan, each once.
+    plan_pages: Vec<u32>,
+    plan_marks: EpochMarks,
 }
 
 /// Cap on pages scheduled per think-time prefetch plan. Bounds wasted
 /// bandwidth when a policy predicts a huge region.
 const CURSOR_PREFETCH_CAP: usize = 256;
+
+/// Add `page` to a think-time plan unless the plan is full, the page
+/// lies past the file's end, or the plan already holds it.
+fn admit_page(pages: &mut Vec<u32>, marks: &mut EpochMarks, page_count: usize, page: u32) {
+    if pages.len() < CURSOR_PREFETCH_CAP
+        && (page as usize) < page_count
+        && marks.mark(page as usize)
+    {
+        pages.push(page);
+    }
+}
 
 impl OocCursor<'_> {
     /// Execute the next query of the walkthrough; returns its trace
@@ -1020,7 +1049,10 @@ impl OocCursor<'_> {
         self.history.push(q.center());
 
         // Think-time prefetch: plan from the step's content, translate
-        // regions to pages, hand them to the background workers.
+        // regions to pages, hand them to the background workers. Only
+        // real pages go out, each once: a page past the end would take
+        // (and maybe evict) a frame before its read fails, and a
+        // duplicate would spend a second slot of the cap.
         let mut prefetched = 0u64;
         {
             let refs: Vec<&NeuronSegment> = self.result.iter().collect();
@@ -1032,15 +1064,22 @@ impl OocCursor<'_> {
             };
             let plan = self.prefetcher.plan(&ctx);
             if self.index.prefetch_enabled() && !plan.is_empty() {
-                let mut pages: Vec<u32> = plan.pages;
+                let page_count = self.index.page_count();
+                let (pages, marks) = (&mut self.plan_pages, &mut self.plan_marks);
+                pages.clear();
+                marks.begin(page_count);
+                for &p in &plan.pages {
+                    admit_page(pages, marks, page_count, p);
+                }
                 for region in &plan.regions {
                     if pages.len() >= CURSOR_PREFETCH_CAP {
                         break;
                     }
-                    pages.extend(self.index.pages_intersecting(region));
+                    self.index.for_each_page_intersecting(region, &mut self.scratch.seed, |p| {
+                        admit_page(pages, marks, page_count, p)
+                    });
                 }
-                pages.truncate(CURSOR_PREFETCH_CAP);
-                prefetched = self.index.prefetch_pages(&pages);
+                prefetched = self.index.prefetch_pages(pages);
             }
         }
 
@@ -1229,6 +1268,51 @@ mod tests {
             total_results += trace.results;
         }
         assert!(total_results > 0, "walkthrough crossed data");
+    }
+
+    #[test]
+    fn prefetch_past_the_last_page_evicts_nothing() {
+        // A query over every page fills a pool sized to the file. Hilbert
+        // then plans only the pages after the last one, which do not
+        // exist: the cursor must not hand them to the pool, where each
+        // would evict a live frame before its read failed.
+        let mem = build(circuit(6), 16);
+        let t = TempFile(temp_path("past-end"));
+        write_flat_index(&mem, &t.0).expect("write");
+        let ooc = OocFlatIndex::open(
+            &t.0,
+            OocConfig::default().with_frame_budget(mem.page_count()).with_prefetch_workers(1),
+        )
+        .expect("open");
+        let mut cur = ooc.cursor(Box::new(crate::prefetch::HilbertPrefetcher { window: 2 }));
+        let trace = cur.step(&ooc.bounds().inflate(1.0)).expect("step");
+        assert_eq!(trace.pages_demanded, mem.page_count() as u64, "the step read every page");
+        assert_eq!(trace.prefetched, 0, "no page past the end is enqueued");
+        for _ in 0..20 {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            assert_eq!(ooc.pool().stats().evictions, 0, "prefetch evicted a live frame");
+        }
+    }
+
+    #[test]
+    fn overlapping_regions_enqueue_each_page_once() {
+        let mem = build(circuit(8), 16);
+        let t = TempFile(temp_path("dup"));
+        write_flat_index(&mem, &t.0).expect("write");
+        let ooc =
+            OocFlatIndex::open(&t.0, OocConfig::default().with_prefetch_workers(1)).expect("open");
+        let c = mem.page_objects(0)[0].aabb().center();
+        let (a, b) = (Aabb::cube(c, 20.0), Aabb::cube(c + Vec3::new(5.0, 0.0, 0.0), 20.0));
+        let (pages_a, pages_b) = (ooc.pages_intersecting(&a), ooc.pages_intersecting(&b));
+        assert!(pages_a.iter().any(|p| pages_b.contains(p)), "the regions share pages");
+        // Page 0 twice, region a twice, and b overlapping a.
+        let plan = crate::prefetch::PrefetchPlan { regions: vec![a, b, a], pages: vec![0, 0] };
+        let mut want: Vec<u32> = [vec![0], pages_a, pages_b].concat();
+        want.sort_unstable();
+        want.dedup();
+        let mut cur = ooc.cursor(Box::new(crate::prefetch::FixedPlan(plan)));
+        let trace = cur.step(&Aabb::cube(Vec3::splat(1e6), 1.0)).expect("step");
+        assert_eq!(trace.prefetched, want.len() as u64, "each page enqueued once");
     }
 
     #[test]

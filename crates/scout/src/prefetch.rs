@@ -3,7 +3,7 @@
 
 use crate::candidate::CandidateTracker;
 use crate::predict::{extrapolate_exits, PredictParams};
-use crate::skeleton::{Skeleton, SkeletonParams, Structure};
+use crate::skeleton::{Skeleton, SkeletonParams, SkeletonScratch};
 use neurospatial_geom::{Aabb, Vec3};
 use neurospatial_model::NeuronSegment;
 
@@ -150,26 +150,35 @@ impl Prefetcher for ExtrapolationPrefetcher {
 
 /// SCOUT: skeleton reconstruction + candidate pruning + exit-edge
 /// extrapolation.
+///
+/// The prefetcher owns the skeleton, its [`SkeletonScratch`] and the
+/// survivor list, so planning reuses their memory from step to step.
 #[derive(Debug)]
 pub struct ScoutPrefetcher {
     pub skeleton_params: SkeletonParams,
     pub predict_params: PredictParams,
     tracker: CandidateTracker,
+    skeleton: Skeleton,
+    scratch: SkeletonScratch,
+    survivors: Vec<usize>,
 }
 
 impl Default for ScoutPrefetcher {
     fn default() -> Self {
-        ScoutPrefetcher {
-            skeleton_params: SkeletonParams::default(),
-            predict_params: PredictParams::default(),
-            tracker: CandidateTracker::new(),
-        }
+        ScoutPrefetcher::new(SkeletonParams::default(), PredictParams::default())
     }
 }
 
 impl ScoutPrefetcher {
     pub fn new(skeleton_params: SkeletonParams, predict_params: PredictParams) -> Self {
-        ScoutPrefetcher { skeleton_params, predict_params, tracker: CandidateTracker::new() }
+        ScoutPrefetcher {
+            skeleton_params,
+            predict_params,
+            tracker: CandidateTracker::new(),
+            skeleton: Skeleton::default(),
+            scratch: SkeletonScratch::new(),
+            survivors: Vec::new(),
+        }
     }
 
     /// Candidate-count series (Figure 5 of the paper).
@@ -184,8 +193,13 @@ impl Prefetcher for ScoutPrefetcher {
     }
 
     fn plan(&mut self, ctx: &PrefetchContext<'_>) -> PrefetchPlan {
-        let skeleton = Skeleton::reconstruct(ctx.result, ctx.query, self.skeleton_params);
-        let survivors = self.tracker.advance(&skeleton);
+        self.skeleton.reconstruct_into(
+            ctx.result,
+            ctx.query,
+            self.skeleton_params,
+            &mut self.scratch,
+        );
+        self.tracker.advance_into(&self.skeleton, &mut self.survivors);
 
         // Adapt the lookahead to the observed step length when available.
         let mut params = self.predict_params;
@@ -205,29 +219,36 @@ impl Prefetcher for ScoutPrefetcher {
         // Keep only exits consistent with the direction of travel: the
         // user follows the structure onward, and the region behind the
         // current box was just visited (resident in the pool anyway).
-        let forward: Vec<Structure> = survivors
+        let structures = &self.skeleton.structures;
+        let forward = self
+            .survivors
             .iter()
-            .map(|&i| &skeleton.structures[i])
-            .map(|s| Structure {
-                segment_ids: s.segment_ids.clone(),
-                exits: s
-                    .exits
-                    .iter()
-                    .filter(|e| match motion {
-                        Some(m) => e.direction.dot(m) >= 0.0,
-                        None => true,
-                    })
-                    .copied()
-                    .collect(),
-            })
-            .collect();
-        let regions = extrapolate_exits(forward.iter(), params);
-        PrefetchPlan { regions, pages: Vec::new() }
+            .flat_map(|&i| &structures[i].exits)
+            .filter(|e| motion.is_none_or(|m| e.direction.dot(m) >= 0.0));
+        PrefetchPlan { regions: extrapolate_exits(forward, params), pages: Vec::new() }
     }
 
     fn reset(&mut self) {
         self.tracker.reset();
     }
+}
+
+/// Test policy: the same plan after every step.
+#[cfg(test)]
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FixedPlan(pub(crate) PrefetchPlan);
+
+#[cfg(test)]
+impl Prefetcher for FixedPlan {
+    fn name(&self) -> &'static str {
+        "fixed"
+    }
+
+    fn plan(&mut self, _ctx: &PrefetchContext<'_>) -> PrefetchPlan {
+        self.0.clone()
+    }
+
+    fn reset(&mut self) {}
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@ use crate::prefetch::{PrefetchContext, Prefetcher};
 use neurospatial_flat::{FlatBuildParams, FlatIndex};
 use neurospatial_geom::{Aabb, Vec3};
 use neurospatial_model::{NavigationPath, NeuronSegment};
+use neurospatial_rtree::EpochMarks;
 use neurospatial_storage::{BufferPool, CostModel, DiskSim, PageId};
 use std::collections::HashMap;
 
@@ -182,6 +183,9 @@ struct StepState<'s, I: PagedIndex> {
     scratch: I::Scratch,
     pages_read: Vec<u32>,
     result: Vec<&'s NeuronSegment>,
+    /// The pages of the current think-time plan, each once.
+    planned_pages: Vec<u32>,
+    plan_marks: EpochMarks,
     stats: SessionStats,
 }
 
@@ -195,6 +199,8 @@ impl<'s, I: PagedIndex> StepState<'s, I> {
             scratch: I::Scratch::default(),
             pages_read: Vec::new(),
             result: Vec::new(),
+            planned_pages: Vec::new(),
+            plan_marks: EpochMarks::default(),
             stats: SessionStats { method: method.to_string(), ..Default::default() },
         }
     }
@@ -247,15 +253,21 @@ impl<'s, I: PagedIndex> StepState<'s, I> {
         };
         let plan = prefetcher.plan(&ctx);
 
-        let mut planned_pages: Vec<u32> = plan.pages;
-        for region in &plan.regions {
-            planned_pages.extend(session.index.pages_intersecting(region));
+        // Real pages only, each once, in plan order: overlapping regions
+        // name a page twice, and its second copy would cost think time
+        // again if the first had been evicted by the time it came up.
+        let page_count = session.index.page_count();
+        self.planned_pages.clear();
+        self.plan_marks.begin(page_count);
+        let regions = plan.regions.iter().flat_map(|r| session.index.pages_intersecting(r));
+        for p in plan.pages.iter().copied().chain(regions) {
+            if (p as usize) < page_count && self.plan_marks.mark(p as usize) {
+                self.planned_pages.push(p);
+            }
         }
-        planned_pages.retain(|&p| (p as usize) < session.index.page_count());
-        planned_pages.dedup();
 
         let mut budget = session.config.think_time_ms;
-        for p in planned_pages {
+        for &p in &self.planned_pages {
             if budget <= 0.0 {
                 break; // think time exhausted: remaining plan dropped
             }
@@ -433,6 +445,36 @@ mod tests {
         let ra: Vec<u64> = a.steps.iter().map(|t| t.results).collect();
         let rb: Vec<u64> = b.steps.iter().map(|t| t.results).collect();
         assert_eq!(ra, rb, "prefetching must not change query semantics");
+    }
+
+    #[test]
+    fn overlapping_regions_prefetch_each_page_once() {
+        // With a one-page pool, every prefetch evicts the one before, so
+        // a page named twice by the plan would be read (and charged)
+        // twice. Each page must be prefetched exactly once.
+        let circuit = CircuitBuilder::new(11).neurons(12).build();
+        let session = ExplorationSession::new(
+            circuit.into_segments(),
+            SessionConfig {
+                page_capacity: 32,
+                buffer_pages: 1,
+                think_time_ms: 1e9,
+                ..Default::default()
+            },
+        );
+        let index = session.index();
+        let c = index.page_objects(0)[0].aabb().center();
+        let (a, b) = (Aabb::cube(c, 30.0), Aabb::cube(c + Vec3::new(15.0, 0.0, 0.0), 30.0));
+        let mut want = index.pages_intersecting(&a);
+        want.extend(index.pages_intersecting(&b));
+        want.sort_unstable();
+        want.dedup();
+        assert!(want.len() > 1, "the plan spans several pages");
+        let plan = crate::prefetch::PrefetchPlan { regions: vec![a, b, a], pages: Vec::new() };
+        let mut cur = session.cursor(Box::new(crate::prefetch::FixedPlan(plan)));
+        let trace = cur.step(&Aabb::cube(Vec3::splat(1e6), 1.0));
+        assert_eq!(trace.pages_demanded, 0);
+        assert_eq!(trace.prefetched, want.len() as u64);
     }
 
     #[test]

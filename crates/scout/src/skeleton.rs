@@ -6,13 +6,24 @@
 //!
 //! The reconstruction uses geometry only — segment endpoints that
 //! (nearly) coincide are fused into skeleton vertices via a union-find
-//! over a quantised spatial hash. The ground-truth neuron/section ids on
+//! over quantised endpoint cells. The ground-truth neuron/section ids on
 //! [`NeuronSegment`] are deliberately ignored; tests use them to measure
 //! reconstruction quality.
+//!
+//! ## The sorted-cell kernel
+//!
+//! Each endpoint is stored once, as (cell, segment index), in one sorted
+//! `Vec`; the cell is the endpoint quantised to the tolerance grid. A
+//! lookup scans the 27 cells around an endpoint's cell as 9 sorted
+//! (x, y) columns over z−1..=z+1, each found with one `partition_point`.
+//! Every segment with an endpoint in that neighbourhood is a candidate,
+//! and a candidate whose either endpoint lies within the tolerance is
+//! fused. No hashing, and with a warmed [`SkeletonScratch`] no
+//! allocation: [`Skeleton::reconstruct_into`] reuses the cell list, the
+//! union-find, the grouping buffers and the structures' own `Vec`s.
 
 use neurospatial_geom::{Aabb, Vec3};
 use neurospatial_model::NeuronSegment;
-use std::collections::HashMap;
 
 /// Skeleton reconstruction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -29,7 +40,7 @@ impl Default for SkeletonParams {
 }
 
 /// One reconstructed structure: a connected set of segments.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Structure {
     /// Object ids of member segments, sorted.
     pub segment_ids: Vec<u64>,
@@ -68,9 +79,43 @@ pub struct ExitEdge {
 }
 
 /// The reconstructed skeleton of one query result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Skeleton {
     pub structures: Vec<Structure>,
+}
+
+/// A quantised endpoint: `round(coordinate / tolerance)` per axis.
+type Cell = (i64, i64, i64);
+
+/// Marks a root that has no group yet.
+const NO_GROUP: u32 = u32::MAX;
+
+/// Reusable working memory of [`Skeleton::reconstruct_into`].
+///
+/// Pair one scratch with one [`Skeleton`]: the scratch also keeps the
+/// structures a smaller result left unused, so their buffers serve the
+/// next larger one. After the buffers have grown to a workload's largest
+/// result, reconstruction allocates nothing.
+#[derive(Debug, Default)]
+pub struct SkeletonScratch {
+    /// Every endpoint once, as (cell, segment index), sorted.
+    cells: Vec<(Cell, u32)>,
+    uf: UnionFind,
+    /// Union-find root → its group: first an index into `order`, then,
+    /// once `order` is sorted, the group's output position.
+    root_group: Vec<u32>,
+    /// Per group: (smallest member id, root); sorted, this is the output
+    /// order of the structures.
+    order: Vec<(u64, u32)>,
+    /// Structures beyond the last skeleton's length, kept for reuse.
+    spare: Vec<Structure>,
+}
+
+impl SkeletonScratch {
+    /// A fresh scratch.
+    pub fn new() -> Self {
+        Self::default()
+    }
 }
 
 impl Skeleton {
@@ -79,72 +124,106 @@ impl Skeleton {
     /// `result` are the segments returned for `query`; connectivity is
     /// inferred from endpoint proximity per `params`.
     pub fn reconstruct(result: &[&NeuronSegment], query: &Aabb, params: SkeletonParams) -> Self {
-        let n = result.len();
-        let mut uf = UnionFind::new(n);
+        let mut skeleton = Skeleton::default();
+        skeleton.reconstruct_into(result, query, params, &mut SkeletonScratch::default());
+        skeleton
+    }
 
-        // Spatial hash of quantised endpoints → segment indices.
+    /// [`reconstruct`](Self::reconstruct) into `self`, reusing the
+    /// buffers of `scratch` and of `self`'s previous structures. The
+    /// result is identical to a fresh [`reconstruct`](Self::reconstruct).
+    pub fn reconstruct_into(
+        &mut self,
+        result: &[&NeuronSegment],
+        query: &Aabb,
+        params: SkeletonParams,
+        scratch: &mut SkeletonScratch,
+    ) {
+        let n = result.len();
+        let SkeletonScratch { cells, uf, root_group, order, spare } = scratch;
+        uf.reset(n);
+
         let tol = params.connect_tolerance.max(1e-9);
-        let quant = |p: Vec3| -> (i64, i64, i64) {
+        let quant = |p: Vec3| -> Cell {
             ((p.x / tol).round() as i64, (p.y / tol).round() as i64, (p.z / tol).round() as i64)
         };
-        let mut buckets: HashMap<(i64, i64, i64), Vec<u32>> = HashMap::new();
+        cells.clear();
+        for (i, s) in result.iter().enumerate() {
+            cells.push((quant(s.geom.p0), i as u32));
+            cells.push((quant(s.geom.p1), i as u32));
+        }
+        cells.sort_unstable();
+
+        // Candidates of endpoint `p` of segment `i`: every segment with an
+        // endpoint in the 27 cells around `p`'s cell. Fuse a candidate if
+        // either of its endpoints lies within the tolerance of `p`.
         for (i, s) in result.iter().enumerate() {
             for p in [s.geom.p0, s.geom.p1] {
-                let c = quant(p);
-                // Register in the containing cell and the 26 neighbours to
-                // catch pairs straddling a cell boundary.
+                let (cx, cy, cz) = quant(p);
+                let (z_lo, z_hi) = (cz.saturating_sub(1), cz.saturating_add(1));
                 for dx in -1..=1i64 {
+                    let Some(x) = cx.checked_add(dx) else { continue };
                     for dy in -1..=1i64 {
-                        for dz in -1..=1i64 {
-                            buckets
-                                .entry((c.0 + dx, c.1 + dy, c.2 + dz))
-                                .or_default()
-                                .push(i as u32);
+                        let Some(y) = cy.checked_add(dy) else { continue };
+                        let start = cells.partition_point(|&(c, _)| c < (x, y, z_lo));
+                        for &(c, j) in &cells[start..] {
+                            if c > (x, y, z_hi) {
+                                break;
+                            }
+                            let j = j as usize;
+                            if j == i {
+                                continue;
+                            }
+                            let o = result[j];
+                            if p.distance(o.geom.p0) <= tol || p.distance(o.geom.p1) <= tol {
+                                uf.union(i, j);
+                            }
                         }
                     }
                 }
             }
         }
+
+        // Number the components in index order and order them by their
+        // smallest member id.
+        root_group.clear();
+        root_group.resize(n, NO_GROUP);
+        order.clear();
         for (i, s) in result.iter().enumerate() {
-            for p in [s.geom.p0, s.geom.p1] {
-                if let Some(cands) = buckets.get(&quant(p)) {
-                    for &j in cands {
-                        let j = j as usize;
-                        if j == i {
-                            continue;
-                        }
-                        let o = result[j];
-                        if p.distance(o.geom.p0) <= tol || p.distance(o.geom.p1) <= tol {
-                            uf.union(i, j);
-                        }
-                    }
-                }
+            let root = uf.find(i);
+            if root_group[root] == NO_GROUP {
+                root_group[root] = order.len() as u32;
+                order.push((s.id, root as u32));
             }
+            let g = &mut order[root_group[root] as usize];
+            g.0 = g.0.min(s.id);
+        }
+        order.sort_unstable();
+        for (k, &(_, root)) in order.iter().enumerate() {
+            root_group[root as usize] = k as u32;
         }
 
-        // Group segments by union-find root.
-        let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-        for i in 0..n {
-            groups.entry(uf.find(i)).or_default().push(i);
+        // Size the output, moving surplus structures to (and missing ones
+        // from) the spare stack, so each position keeps its buffers.
+        while self.structures.len() > order.len() {
+            spare.extend(self.structures.pop());
         }
-
-        let mut structures: Vec<Structure> = groups
-            .into_values()
-            .map(|members| {
-                let mut segment_ids: Vec<u64> = members.iter().map(|&i| result[i].id).collect();
-                segment_ids.sort_unstable();
-                let mut exits = Vec::new();
-                for &i in &members {
-                    if let Some(e) = exit_edge(result[i], query) {
-                        exits.push(e);
-                    }
-                }
-                Structure { segment_ids, exits }
-            })
-            .collect();
-        // Deterministic order: by smallest member id.
-        structures.sort_by_key(|s| s.segment_ids[0]);
-        Skeleton { structures }
+        while self.structures.len() < order.len() {
+            self.structures.push(spare.pop().unwrap_or_default());
+        }
+        for s in &mut self.structures {
+            s.segment_ids.clear();
+            s.exits.clear();
+        }
+        // Members in index order, so exits keep the result's order.
+        for (i, seg) in result.iter().enumerate() {
+            let s = &mut self.structures[root_group[uf.find(i)] as usize];
+            s.segment_ids.push(seg.id);
+            s.exits.extend(exit_edge(seg, query));
+        }
+        for s in &mut self.structures {
+            s.segment_ids.sort_unstable();
+        }
     }
 
     /// Structures that leave the query box.
@@ -168,15 +247,19 @@ fn exit_edge(seg: &NeuronSegment, q: &Aabb) -> Option<ExitEdge> {
 }
 
 /// Plain union-find with path halving + union by size.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
 }
 
 impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind { parent: (0..n as u32).collect(), size: vec![1; n] }
+    /// `n` singletons, reusing the buffers.
+    fn reset(&mut self, n: usize) {
+        self.parent.clear();
+        self.parent.extend(0..n as u32);
+        self.size.clear();
+        self.size.resize(n, 1);
     }
 
     fn find(&mut self, mut x: usize) -> usize {
@@ -289,6 +372,27 @@ mod tests {
         let refs: Vec<&NeuronSegment> = segs.iter().collect();
         let sk = Skeleton::reconstruct(&refs, &q, SkeletonParams::default());
         assert_eq!(sk.exiting().count(), 0);
+    }
+
+    #[test]
+    fn reconstruct_into_reuse_matches_fresh_reconstruction() {
+        // One skeleton and scratch across results that grow, shrink and
+        // change shape: every pass equals a fresh reconstruction.
+        use neurospatial_model::CircuitBuilder;
+        let c = CircuitBuilder::new(5).neurons(3).build();
+        let all: Vec<&NeuronSegment> = c.segments().iter().collect();
+        let mut sk = Skeleton::default();
+        let mut scratch = SkeletonScratch::new();
+        for (i, len) in [all.len(), 7, 0, 40, 1, all.len() / 2, all.len()].into_iter().enumerate() {
+            let result = &all[i % 3..len.max(i % 3)];
+            let q = Aabb::cube(c.bounds().center(), 10.0 + 15.0 * i as f64);
+            for tol in [0.1, 0.25, 1.0] {
+                let params = SkeletonParams { connect_tolerance: tol };
+                sk.reconstruct_into(result, &q, params, &mut scratch);
+                let fresh = Skeleton::reconstruct(result, &q, params);
+                assert_eq!(format!("{:?}", sk.structures), format!("{:?}", fresh.structures));
+            }
+        }
     }
 
     #[test]
