@@ -8,9 +8,7 @@
 
 use crate::delta::{self, DeltaBuffer, WriteOp};
 use crate::error::NeuroError;
-use crate::index::{
-    IndexBackend, IndexParams, Neighbor, QueryOutput, QueryScratch, QueryStats, SpatialIndex,
-};
+use crate::index::{IndexBackend, IndexParams, Neighbor, QueryOutput, QueryStats, SpatialIndex};
 use crate::paged::PagedFlatIndex;
 use crate::query::Query;
 use crate::shard::ShardedIndex;
@@ -18,14 +16,14 @@ use neurospatial_flat::{FlatBuildParams, FlatIndex};
 use neurospatial_geom::{Aabb, Swap, Vec3};
 use neurospatial_model::{Circuit, NavigationPath, NeuronSegment};
 use neurospatial_scout::{
-    ExplorationSession, ExtrapolationPrefetcher, HilbertPrefetcher, MarkovPrefetcher, NoPrefetch,
-    OocConfig, OocCursor, Prefetcher, QueryTrace, ScoutPrefetcher, SessionConfig, SessionCursor,
-    SessionStats,
+    ExtrapolationPrefetcher, HilbertPrefetcher, MarkovPrefetcher, NoPrefetch, OocConfig, OocCursor,
+    Prefetcher, QueryTrace, ScoutPrefetcher, SessionConfig, SessionCursor, SessionStats,
 };
 use neurospatial_storage::{EvictionPolicy, FaultLog, FaultPlan, FileLog, LogIo, Wal};
 use neurospatial_touch::{JoinResult, SpatialJoin, TouchJoin};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -574,73 +572,96 @@ impl NeuroDbBuilder {
                 config.shards
             )));
         }
-        if self.paged {
+        let store = if self.paged {
             let flat_params =
                 FlatBuildParams::default().with_page_capacity(config.page_capacity.max(1));
             let paged = match &self.page_file {
                 Some(path) => PagedFlatIndex::create(segments, flat_params, path, self.ooc)?,
                 None => PagedFlatIndex::create_temp(segments, flat_params, self.ooc)?,
             };
-            return Ok(NeuroDb {
-                index: DbIndex::Paged(Box::new(paged)),
+            Store::Frozen(Generation { index: Box::new(paged), segments: Vec::new() })
+        } else if let Some((wal, recovery)) = live_wal {
+            let first = Generation::live(segments, backend, &params);
+            Store::Live(Box::new(LiveCore::new(
+                wal,
+                recovery,
+                first,
                 backend,
-                config,
-                populations,
-                population_index,
-                population_of_id,
-            });
-        }
-        if let Some((wal, recovery)) = live_wal {
-            let core =
-                LiveCore::new(wal, recovery, segments, backend, &params, self.refreeze_threshold);
-            return Ok(NeuroDb {
-                index: DbIndex::Live(Box::new(core)),
-                backend,
-                config,
-                populations,
-                population_index,
-                population_of_id,
-            });
-        }
-        // FLAT gets the full exploration session (walkthroughs need
-        // page-level I/O) whether monolithic or sharded — the sharded
-        // executor is itself a `PagedIndex`; the session owns the only
-        // copy of the index.
-        let index = match (backend, config.shards > 1) {
-            (IndexBackend::Flat, false) => {
-                DbIndex::Flat(Box::new(ExplorationSession::new(segments, config.session)))
-            }
-            (IndexBackend::Flat, true) => {
-                DbIndex::ShardedFlat(Box::new(ExplorationSession::from_index(
-                    ShardedIndex::<FlatIndex<NeuronSegment>>::build_with(segments, &params),
-                    config.session,
-                )))
-            }
-            (other, false) => DbIndex::Boxed(other.build(segments, &params)),
-            (other, true) => DbIndex::Boxed(other.build_sharded(segments, &params)),
+                &params,
+                self.refreeze_threshold,
+            )))
+        } else {
+            let index = build_index(backend, segments, &params);
+            Store::Frozen(Generation { index, segments: Vec::new() })
         };
-        Ok(NeuroDb { index, backend, config, populations, population_index, population_of_id })
+        Ok(NeuroDb { store, backend, config, populations, population_index, population_of_id })
     }
 }
 
-/// The index storage: FLAT keeps its exploration session (for
-/// walkthroughs) — monolithic or sharded; the out-of-core variant owns
-/// the page file and frame pool; every other backend is a plain boxed
-/// [`SpatialIndex`].
-enum DbIndex {
-    Flat(Box<ExplorationSession>),
-    ShardedFlat(Box<ExplorationSession<ShardedIndex<FlatIndex<NeuronSegment>>>>),
-    Paged(Box<PagedFlatIndex>),
-    Boxed(Box<dyn SpatialIndex>),
+/// One frozen generation of a database: the immutable index plus, on
+/// live databases only, the exact segment list it was built from (the
+/// refreeze clones this list, replays the delta over it and builds the
+/// next generation). A frozen database leaves the list empty — its
+/// index is the only copy of the data.
+struct Generation {
+    index: Box<dyn SpatialIndex>,
+    segments: Vec<NeuronSegment>,
+}
+
+impl Generation {
+    /// A live generation: the index over `segments`, plus the list itself.
+    fn live(segments: Vec<NeuronSegment>, backend: IndexBackend, params: &IndexParams) -> Self {
+        Generation { index: build_index(backend, segments.clone(), params), segments }
+    }
+}
+
+/// Build `backend` over `segments`: sharded when `params` asks for more
+/// than one shard, monolithic otherwise.
+fn build_index(
+    backend: IndexBackend,
+    segments: Vec<NeuronSegment>,
+    params: &IndexParams,
+) -> Box<dyn SpatialIndex> {
+    if params.shards > 1 {
+        backend.build_sharded(segments, params)
+    } else {
+        backend.build(segments, params)
+    }
+}
+
+/// Where a database keeps its generation: owned outright when frozen,
+/// behind the live engine's swap when durable.
+enum Store {
+    Frozen(Generation),
     Live(Box<LiveCore>),
 }
 
-/// One frozen generation of a live database: the immutable index plus
-/// the exact segment list it was built from (the refreeze clones this
-/// list, replays the delta over it and builds the next generation).
-struct LiveGen {
-    index: Box<dyn SpatialIndex>,
-    segments: Vec<NeuronSegment>,
+/// A borrow of a database's index that keeps its generation alive —
+/// what [`NeuroDb::index`] and [`NeuroDb::index_as`] return. On a
+/// frozen database it is a plain borrow. On a live database it pins
+/// the generation current when it was taken: a later refreeze swaps in
+/// a new generation without disturbing this one, and a displaced
+/// generation is freed when its last pin drops.
+pub struct IndexGuard<'a, T: ?Sized> {
+    inner: GuardInner<'a, T>,
+}
+
+enum GuardInner<'a, T: ?Sized> {
+    Borrowed(&'a T),
+    /// The pin plus the projection that found `T` in it when it was
+    /// taken (so it finds it again on every deref).
+    Pinned(Arc<Generation>, fn(&Generation) -> Option<&T>),
+}
+
+impl<T: ?Sized> Deref for IndexGuard<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        match &self.inner {
+            GuardInner::Borrowed(index) => index,
+            GuardInner::Pinned(gen, project) => project(gen).expect("projection held when pinned"),
+        }
+    }
 }
 
 /// Writer-side state of a live database, all behind one mutex so writes
@@ -662,23 +683,20 @@ struct LiveRecovery {
 /// The live-ingest engine: a frozen base generation behind an atomic
 /// [`Swap`], a mutable [`DeltaBuffer`] overlay, and the WAL writer.
 ///
-/// Lock ordering (deadlock freedom): `writer` → `delta.write()` →
-/// `retired`; the generation swap's internal mutex is leaf-level.
-/// Queries take only `delta.read()` → `gen.load()`, which is coherent
-/// because a refreeze installs the new generation *and* clears the
-/// delta while holding `delta.write()` — a reader sees either (old gen,
-/// old delta) or (new gen, empty delta), never a mix.
+/// Lock ordering (deadlock freedom): `writer` → `delta.write()`; the
+/// generation swap's internal mutex is leaf-level. Queries take only
+/// `delta.read()` → `gen.load()`, which is coherent because a refreeze
+/// installs the new generation *and* clears the delta while holding
+/// `delta.write()` — a reader sees either (old gen, old delta) or (new
+/// gen, empty delta), never a mix. Each reader's `Arc` pins its
+/// generation; the swap holds the only other reference, so a displaced
+/// generation is freed as soon as its last reader finishes.
 struct LiveCore {
-    gen: Swap<LiveGen>,
-    /// Every generation ever installed, append-only, kept alive for the
-    /// database's lifetime — the invariant `index()`'s unsafe lifetime
-    /// extension rests on. Bounded by the number of refreezes.
-    retired: Mutex<Vec<Arc<LiveGen>>>,
+    gen: Swap<Generation>,
     delta: RwLock<DeltaBuffer>,
     writer: Mutex<LiveWriter>,
     backend: IndexBackend,
     params: IndexParams,
-    sharded: bool,
     threshold: usize,
     last_lsn: AtomicU64,
     wal_bytes: AtomicU64,
@@ -692,28 +710,19 @@ impl LiveCore {
     fn new(
         wal: Wal,
         recovery: LiveRecovery,
-        segments: Vec<NeuronSegment>,
+        first: Generation,
         backend: IndexBackend,
         params: &IndexParams,
         threshold: usize,
     ) -> Self {
-        let sharded = params.shards > 1;
-        let index = if sharded {
-            backend.build_sharded(segments.clone(), params)
-        } else {
-            backend.build(segments.clone(), params)
-        };
-        let ids: HashSet<u64> = segments.iter().map(|s| s.id).collect();
-        let cell = Self::delta_cell(index.bounds());
-        let first = Arc::new(LiveGen { index, segments });
+        let ids: HashSet<u64> = first.segments.iter().map(|s| s.id).collect();
+        let cell = Self::delta_cell(first.index.bounds());
         let core = LiveCore {
-            gen: Swap::new(Arc::clone(&first)),
-            retired: Mutex::new(vec![first]),
+            gen: Swap::new(Arc::new(first)),
             delta: RwLock::new(DeltaBuffer::new(cell)),
             writer: Mutex::new(LiveWriter { wal, ids }),
             backend,
             params: *params,
-            sharded,
             threshold,
             last_lsn: AtomicU64::new(0),
             wal_bytes: AtomicU64::new(0),
@@ -796,7 +805,7 @@ pub struct WalHealth {
 /// named segment populations, and exposes the TOUCH join for synapse
 /// placement plus SCOUT walkthroughs (FLAT backend only).
 pub struct NeuroDb {
-    index: DbIndex,
+    store: Store,
     backend: IndexBackend,
     config: NeuroDbConfig,
     populations: Vec<Population>,
@@ -844,14 +853,10 @@ impl NeuroDb {
     /// Number of indexed segments. Live databases count the frozen base
     /// plus the net effect of buffered writes.
     pub fn len(&self) -> usize {
-        match &self.index {
-            DbIndex::Live(core) => {
-                let d = core.read_delta();
-                let base = core.gen.load().index.len() as isize;
-                (base + d.net_len_delta()).max(0) as usize
-            }
-            _ => self.index().len(),
-        }
+        self.with_view(|index, delta| {
+            let base = index.len() as isize;
+            (base + delta.map_or(0, DeltaBuffer::net_len_delta)).max(0) as usize
+        })
     }
 
     pub fn is_empty(&self) -> bool {
@@ -866,33 +871,32 @@ impl NeuroDb {
     /// The underlying index, backend-agnostic. For live databases this
     /// is the current *frozen base generation* — it excludes writes
     /// still buffered in the delta (queries through
-    /// [`query`](Self::query) merge both tiers).
-    pub fn index(&self) -> &dyn SpatialIndex {
-        match &self.index {
-            DbIndex::Flat(session) => session.index(),
-            DbIndex::ShardedFlat(session) => session.index(),
-            DbIndex::Paged(paged) => paged.as_ref(),
-            DbIndex::Boxed(b) => b.as_ref(),
-            DbIndex::Live(core) => {
+    /// [`query`](Self::query) merge both tiers) — and the guard pins
+    /// that generation until it drops.
+    pub fn index(&self) -> IndexGuard<'_, dyn SpatialIndex> {
+        self.pin(|gen| Some(gen.index.as_ref())).expect("every generation has an index")
+    }
+
+    /// Guard the index part `project` finds in the current generation,
+    /// if it finds one: borrowed from a frozen database, pinned on a
+    /// live one.
+    fn pin<T: ?Sized>(&self, project: fn(&Generation) -> Option<&T>) -> Option<IndexGuard<'_, T>> {
+        let inner = match &self.store {
+            Store::Frozen(gen) => GuardInner::Borrowed(project(gen)?),
+            Store::Live(core) => {
                 let gen = core.gen.load();
-                let ptr: *const dyn SpatialIndex = gen.index.as_ref();
-                // SAFETY: every generation `Arc` ever installed in
-                // `core.gen` (including the initial one) is also pushed
-                // into `core.retired`, which is append-only and dropped
-                // only when `self` drops. The boxed index therefore
-                // lives at a stable heap address for at least `&self`'s
-                // lifetime, even after later swaps retire this
-                // generation from the hot path.
-                unsafe { &*ptr }
+                project(&gen)?;
+                GuardInner::Pinned(gen, project)
             }
-        }
+        };
+        Some(IndexGuard { inner })
     }
 
     /// The out-of-core FLAT engine, if this database was built with
     /// [`NeuroDbBuilder::paged`] — frame-pool counters, page-file path,
     /// prefetcher state. `None` for in-memory databases. Sugar for
     /// [`index_as`](Self::index_as).
-    pub fn paged_index(&self) -> Option<&PagedFlatIndex> {
+    pub fn paged_index(&self) -> Option<IndexGuard<'_, PagedFlatIndex>> {
         self.index_as::<PagedFlatIndex>()
     }
 
@@ -909,8 +913,8 @@ impl NeuroDb {
     /// assert!(rplus.replication_factor() >= 1.0);
     /// assert!(db.index_as::<FlatIndex<NeuronSegment>>().is_none());
     /// ```
-    pub fn index_as<T: SpatialIndex>(&self) -> Option<&T> {
-        self.index().as_any().downcast_ref::<T>()
+    pub fn index_as<T: SpatialIndex>(&self) -> Option<IndexGuard<'_, T>> {
+        self.pin(|gen| gen.index.as_any().downcast_ref::<T>())
     }
 
     /// The FLAT index, if this database uses the **monolithic** FLAT
@@ -918,31 +922,26 @@ impl NeuroDb {
     /// `None` for every other backend, including sharded FLAT — its
     /// pages are spread over shard-local indexes. Sugar for
     /// [`index_as`](Self::index_as).
-    pub fn flat_index(&self) -> Option<&FlatIndex<NeuronSegment>> {
+    pub fn flat_index(&self) -> Option<IndexGuard<'_, FlatIndex<NeuronSegment>>> {
         self.index_as::<FlatIndex<NeuronSegment>>()
     }
 
-    /// Shard count of the underlying index (1 for monolithic backends).
+    /// Shard count of the underlying index (1 for monolithic backends;
+    /// a sharded index is built with exactly the configured count).
     pub fn shard_count(&self) -> usize {
-        match &self.index {
-            DbIndex::ShardedFlat(session) => session.index().shard_count(),
-            DbIndex::Flat(_) | DbIndex::Paged(_) => 1,
-            DbIndex::Boxed(_) | DbIndex::Live(_) => self.config.shards,
-        }
+        self.config.shards
     }
 
     /// Bounding box of the indexed data. Live databases grow the box to
     /// cover buffered delta inserts as well.
     pub fn bounds(&self) -> Aabb {
-        match &self.index {
-            DbIndex::Live(core) => {
-                let d = core.read_delta();
-                let mut b = core.gen.load().index.bounds();
+        self.with_view(|index, delta| {
+            let mut b = index.bounds();
+            if let Some(d) = delta {
                 d.for_each(|s| b = b.union(&s.aabb()));
-                b
             }
-            _ => self.index().bounds(),
-        }
+            b
+        })
     }
 
     /// Open the unified query builder — one composable entry point for
@@ -975,28 +974,6 @@ impl NeuroDb {
         self.query().range(*region).collect().expect("no population constraint to fail")
     }
 
-    /// Execute a batch of range queries (one output per region). On a
-    /// sharded database the batch fans out over the worker pool (one
-    /// reused [`QueryScratch`] per worker); monolithic databases reuse
-    /// one scratch across the whole batch — either way, per-query
-    /// traversal state is not re-allocated query by query.
-    pub fn range_query_many(&self, regions: &[Aabb]) -> Vec<QueryOutput> {
-        self.index().range_query_many(regions)
-    }
-
-    /// Allocation-free range query for hot serving loops: results append
-    /// to `out`, per-query working state lives in the caller's `scratch`
-    /// (reused across calls). Identical results and statistics to
-    /// [`range_query`](Self::range_query).
-    pub fn range_query_into_scratch(
-        &self,
-        region: &Aabb,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<NeuronSegment>,
-    ) -> QueryStats {
-        self.index().range_query_into_scratch(region, scratch, out)
-    }
-
     /// The `k` segments nearest to `p`, in canonical (distance, id)
     /// order, through the selected backend. Forwarding shim over
     /// `self.query().knn(p, k).collect()`.
@@ -1006,7 +983,15 @@ impl NeuroDb {
 
     /// Whether this database was opened in durable live-ingest mode.
     pub fn is_live(&self) -> bool {
-        matches!(&self.index, DbIndex::Live(_))
+        self.live().is_some()
+    }
+
+    /// The live-ingest engine, if this database is durable.
+    fn live(&self) -> Option<&LiveCore> {
+        match &self.store {
+            Store::Live(core) => Some(core),
+            Store::Frozen(_) => None,
+        }
     }
 
     /// Durably insert one segment. The returned [`WriteAck`] means the
@@ -1034,10 +1019,7 @@ impl NeuroDb {
     /// visible to queries. A commit failure leaves the delta untouched —
     /// exactly matching replay, which drops uncommitted records.
     pub fn write_batch(&self, ops: &[WriteOp]) -> Result<WriteAck, NeuroError> {
-        let core = match &self.index {
-            DbIndex::Live(core) => core,
-            _ => return Err(NeuroError::WriteUnsupported),
-        };
+        let core = self.live().ok_or(NeuroError::WriteUnsupported)?;
         if ops.is_empty() {
             return Err(NeuroError::WriteRejected { reason: "empty batch".into() });
         }
@@ -1079,7 +1061,7 @@ impl NeuroDb {
             }
         }
         for op in ops {
-            writer.wal.append(&delta::encode_op(op));
+            writer.wal.append(&delta::encode_op(op))?;
         }
         let lsn = writer.wal.commit()?;
         // Durable from here on: make the batch visible and ack it.
@@ -1114,42 +1096,39 @@ impl NeuroDb {
     /// (the checkpoint replaces the file atomically), so recovery
     /// replays the old ops over the old snapshot — same state.
     pub fn refreeze(&self) -> Result<u64, NeuroError> {
-        let core = match &self.index {
-            DbIndex::Live(core) => core,
-            _ => return Err(NeuroError::WriteUnsupported),
-        };
+        let core = self.live().ok_or(NeuroError::WriteUnsupported)?;
         // Holding the writer lock for the whole refreeze serializes it
         // against writes *and* other refreezes; the delta cannot change
         // underneath the rebuild.
         let mut writer = core.lock_writer();
-        let (base, ops) = {
+        let (mut segments, ops) = {
             let d = core.read_delta();
             if d.is_empty() {
                 return Ok(core.gen.epoch());
             }
-            (core.gen.load(), d.ops().to_vec())
+            (core.gen.load().segments.clone(), d.ops().to_vec())
         };
-        let mut segments = base.segments.clone();
         delta::apply_ops(&mut segments, &ops);
-        let index = if core.sharded {
-            core.backend.build_sharded(segments.clone(), &core.params)
-        } else {
-            core.backend.build(segments.clone(), &core.params)
-        };
-        let next = Arc::new(LiveGen { index, segments });
-        {
+        let next = Arc::new(Generation::live(segments, core.backend, &core.params));
+        let displaced = {
             // Install + clear under the delta write lock so readers see
             // either (old gen, old delta) or (new gen, empty delta).
             let mut d = core.write_delta();
-            core.retired.lock().unwrap_or_else(|p| p.into_inner()).push(Arc::clone(&next));
-            core.gen.store(Arc::clone(&next));
+            let displaced = core.gen.store(Arc::clone(&next));
             d.clear();
             core.pending_ops.store(0, Ordering::Relaxed);
-        }
-        writer.wal.checkpoint(&delta::encode_snapshot(&next.segments))?;
+            displaced
+        };
+        let checkpointed = writer.wal.checkpoint(&delta::encode_snapshot(&next.segments));
         core.wal_bytes.store(writer.wal.bytes(), Ordering::Relaxed);
         core.checkpoints.store(writer.wal.checkpoints(), Ordering::Relaxed);
-        Ok(core.gen.epoch())
+        let epoch = core.gen.epoch();
+        drop(writer);
+        // Freed here, outside every lock, unless a reader still pins it
+        // (then its last pin frees it).
+        drop(displaced);
+        checkpointed?;
+        Ok(epoch)
     }
 
     /// Refreeze if the delta has crossed the builder's
@@ -1158,7 +1137,7 @@ impl NeuroDb {
     /// maintenance — see
     /// [`with_ingest_maintenance`](Self::with_ingest_maintenance).
     pub fn maybe_refreeze(&self) -> Result<bool, NeuroError> {
-        if let DbIndex::Live(core) = &self.index {
+        if let Some(core) = self.live() {
             if core.pending_ops.load(Ordering::Relaxed) as usize >= core.threshold {
                 self.refreeze()?;
                 return Ok(true);
@@ -1194,36 +1173,37 @@ impl NeuroDb {
 
     /// WAL and ingest health (`None` for non-durable databases).
     pub fn wal_health(&self) -> Option<WalHealth> {
-        match &self.index {
-            DbIndex::Live(core) => Some(WalHealth {
-                last_lsn: core.last_lsn.load(Ordering::Relaxed),
-                wal_bytes: core.wal_bytes.load(Ordering::Relaxed),
-                pending_ops: core.pending_ops.load(Ordering::Relaxed),
-                epoch: core.gen.epoch(),
-                replayed_ops: core.replayed_ops,
-                recovered_torn_tail: core.recovered_torn_tail,
-                checkpoints: core.checkpoints.load(Ordering::Relaxed),
-            }),
-            _ => None,
-        }
+        self.live().map(|core| WalHealth {
+            last_lsn: core.last_lsn.load(Ordering::Relaxed),
+            wal_bytes: core.wal_bytes.load(Ordering::Relaxed),
+            pending_ops: core.pending_ops.load(Ordering::Relaxed),
+            epoch: core.gen.epoch(),
+            replayed_ops: core.replayed_ops,
+            recovered_torn_tail: core.recovered_torn_tail,
+            checkpoints: core.checkpoints.load(Ordering::Relaxed),
+        })
     }
 
     /// Run `f` over a coherent (base index, delta overlay) pair — the
-    /// query engine's entry point. Non-live databases pass `None` for
-    /// the delta; live databases pin the delta read lock *then* load the
+    /// query engine's entry point. Frozen databases pass `None` for the
+    /// delta; live databases pin the delta read lock *then* load the
     /// generation, which the refreeze's install-under-write-lock makes
     /// a consistent snapshot.
     pub(crate) fn with_view<R>(
         &self,
         f: impl FnOnce(&dyn SpatialIndex, Option<&DeltaBuffer>) -> R,
     ) -> R {
-        match &self.index {
-            DbIndex::Live(core) => {
+        match &self.store {
+            Store::Frozen(gen) => f(gen.index.as_ref(), None),
+            Store::Live(core) => {
                 let d = core.read_delta();
                 let gen = core.gen.load();
-                f(gen.index.as_ref(), Some(&d))
+                let out = f(gen.index.as_ref(), Some(&d));
+                // Unlock before the pin drops: if it was the last pin,
+                // its free holds up no refreeze.
+                drop(d);
+                out
             }
-            _ => f(self.index(), None),
         }
     }
 
@@ -1363,80 +1343,60 @@ impl NeuroDb {
     }
 
     /// The worker behind [`walkthrough`](Self::walkthrough) and the
-    /// builder's `along_path(..).run()` terminal.
+    /// builder's `along_path(..).run()` terminal: one
+    /// [`scout_cursor`](Self::scout_cursor) stepped over the whole path.
     pub(crate) fn walkthrough_impl(
         &self,
         path: &NavigationPath,
         method: WalkthroughMethod,
     ) -> Result<SessionStats, NeuroError> {
-        match &self.index {
-            DbIndex::Flat(session) => {
-                let mut prefetcher = method.prefetcher();
-                Ok(session.run(path, prefetcher.as_mut()))
-            }
-            DbIndex::ShardedFlat(session) => {
-                let mut prefetcher = method.prefetcher();
-                Ok(session.run(path, prefetcher.as_mut()))
-            }
-            DbIndex::Paged(paged) => {
-                // The real-I/O walkthrough: every step's stall time is
-                // measured wall-clock against the page file, and
-                // prefetches are actual background reads.
-                let mut cursor = paged.ooc().cursor(method.prefetcher());
-                let mut stats =
-                    SessionStats { method: method.name().to_string(), ..Default::default() };
-                let before = paged.frame_stats();
-                for q in &path.queries {
-                    let trace = cursor.step(q)?;
-                    accumulate_trace(&mut stats, trace);
-                }
-                let after = paged.frame_stats();
-                stats.useful_prefetched = after.prefetch_hits - before.prefetch_hits;
-                Ok(stats)
-            }
-            DbIndex::Boxed(_) | DbIndex::Live(_) => {
-                Err(NeuroError::WalkthroughUnsupported { backend: self.backend.name().to_string() })
-            }
+        let mut cursor = self.scout_cursor(method)?;
+        for q in &path.queries {
+            cursor.try_step(q)?;
         }
+        Ok(cursor.stats().clone())
     }
 
     /// Bind a step-wise SCOUT prefetch cursor over this database's paged
     /// (FLAT) index — the simulated-I/O companion `Query::session`
     /// attaches so repeated-query loops report walkthrough-grade hit and
-    /// stall statistics. Errors on non-paged backends.
+    /// stall statistics. In-memory FLAT (monolithic or sharded) replays
+    /// against the simulated disk; the out-of-core index steps the real
+    /// pager. Errors on every other backend, and on live databases (a
+    /// walkthrough needs the frozen page space; buffered writes sit
+    /// outside it).
     pub(crate) fn scout_cursor(
         &self,
         method: WalkthroughMethod,
     ) -> Result<DbCursor<'_>, NeuroError> {
-        match &self.index {
-            DbIndex::Flat(session) => Ok(DbCursor::Flat(session.cursor(method.prefetcher()))),
-            DbIndex::ShardedFlat(session) => {
-                Ok(DbCursor::Sharded(session.cursor(method.prefetcher())))
-            }
-            DbIndex::Paged(paged) => Ok(DbCursor::Paged {
+        let index = match &self.store {
+            Store::Frozen(gen) => gen.index.as_any(),
+            Store::Live(_) => return Err(self.walkthrough_unsupported()),
+        };
+        let session = self.config.session;
+        if let Some(flat) = index.downcast_ref::<FlatIndex<NeuronSegment>>() {
+            Ok(DbCursor::Flat(SessionCursor::new(flat, session, method.prefetcher())))
+        } else if let Some(sharded) = index.downcast_ref::<ShardedIndex<FlatIndex<NeuronSegment>>>()
+        {
+            Ok(DbCursor::Sharded(SessionCursor::new(sharded, session, method.prefetcher())))
+        } else if let Some(paged) = index.downcast_ref::<PagedFlatIndex>() {
+            // The real-I/O walkthrough: every step's stall time is
+            // measured wall-clock against the page file, and prefetches
+            // are actual background reads.
+            Ok(DbCursor::Paged {
                 cursor: paged.ooc().cursor(method.prefetcher()),
                 paged,
                 stats: SessionStats { method: method.name().to_string(), ..Default::default() },
                 prefetch_hits_at_start: paged.frame_stats().prefetch_hits,
-            }),
-            DbIndex::Boxed(_) | DbIndex::Live(_) => {
-                Err(NeuroError::WalkthroughUnsupported { backend: self.backend.name().to_string() })
-            }
+            })
+        } else {
+            Err(self.walkthrough_unsupported())
         }
     }
-}
 
-/// Fold one step's trace into the running session totals — the same
-/// accumulation the simulator's `StepState` applies, minus the
-/// simulation-only fields (`useful_prefetched` comes from the frame
-/// pool's prefetch-hit counter, `prefetch_cost_ms` is zero because real
-/// prefetch I/O runs on background workers the user never waits for).
-fn accumulate_trace(stats: &mut SessionStats, trace: QueryTrace) {
-    stats.total_stall_ms += trace.stall_ms;
-    stats.total_demand_misses += trace.demand_misses;
-    stats.total_demand_hits += trace.demand_hits;
-    stats.total_prefetched += trace.prefetched;
-    stats.steps.push(trace);
+    fn walkthrough_unsupported(&self) -> NeuroError {
+        NeuroError::WalkthroughUnsupported { backend: self.backend.name().to_string() }
+    }
 }
 
 /// A step-wise SCOUT cursor over whichever paged index shape the
@@ -1457,23 +1417,32 @@ pub(crate) enum DbCursor<'s> {
 }
 
 impl DbCursor<'_> {
-    pub(crate) fn step(&mut self, q: &Aabb) -> QueryTrace {
+    /// Advance one step; only the out-of-core cursor can fail (a page
+    /// read error).
+    fn try_step(&mut self, q: &Aabb) -> Result<QueryTrace, NeuroError> {
         match self {
-            DbCursor::Flat(c) => c.step(q),
-            DbCursor::Sharded(c) => c.step(q),
+            DbCursor::Flat(c) => Ok(c.step(q)),
+            DbCursor::Sharded(c) => Ok(c.step(q)),
             DbCursor::Paged { cursor, paged, stats, prefetch_hits_at_start } => {
-                // Open validated every page, so a storage error here
-                // means the file changed under a live database — same
-                // contract as the infallible `SpatialIndex` lane.
-                let trace = cursor.step(q).unwrap_or_else(|e| {
-                    panic!("paged walkthrough: page file failed after a validated open: {e}")
-                });
-                accumulate_trace(stats, trace);
+                // `useful_prefetched` comes from the frame pool's
+                // prefetch-hit counter; `prefetch_cost_ms` stays zero, as
+                // real prefetch I/O runs on background workers.
+                let trace = cursor.step(q)?;
+                stats.record(trace);
                 stats.useful_prefetched =
                     paged.frame_stats().prefetch_hits - *prefetch_hits_at_start;
-                trace
+                Ok(trace)
             }
         }
+    }
+
+    pub(crate) fn step(&mut self, q: &Aabb) -> QueryTrace {
+        // Open validated every page, so a storage error here means the
+        // file changed under a live database — same contract as the
+        // infallible `SpatialIndex` lane.
+        self.try_step(q).unwrap_or_else(|e| {
+            panic!("paged walkthrough: page file failed after a validated open: {e}")
+        })
     }
 
     pub(crate) fn stats(&self) -> &SessionStats {
@@ -1816,7 +1785,7 @@ mod tests {
         let (db, c) = db();
         let regions: Vec<Aabb> =
             (0..4).map(|i| Aabb::cube(c.segments()[i * 11].geom.center(), 20.0)).collect();
-        let batch = db.range_query_many(&regions);
+        let batch = db.index().range_query_many(&regions);
         assert_eq!(batch.len(), regions.len());
         for (out, r) in batch.iter().zip(&regions) {
             assert_eq!(out.sorted_ids(), db.range_query(r).sorted_ids());
@@ -2076,6 +2045,59 @@ mod tests {
         let health = reopened.wal_health().expect("live");
         assert!(health.recovered_torn_tail, "torn tail must be detected");
         assert_eq!(health.replayed_ops, 1, "only the acked write replays");
+    }
+
+    #[test]
+    fn refreezes_free_displaced_generations_under_concurrent_readers() {
+        const REFREEZES: u64 = 1_000;
+        const READERS: usize = 2;
+        let wal = WalPath::new("soak");
+        let base: Vec<NeuronSegment> = (0..8).map(|i| fresh_segment(i, i as f64 * 2.0)).collect();
+        let db = NeuroDb::builder().segments(base).durable(&wal.0).build().expect("live");
+        let core = db.live().expect("live");
+        let alive = |gens: &[std::sync::Weak<Generation>]| {
+            gens.iter().filter(|g| g.strong_count() > 0).count()
+        };
+        let mut gens = vec![Arc::downgrade(&core.gen.load())];
+        // Stops the readers however the refreeze loop ends, so a failed
+        // assertion fails the test instead of hanging the scope.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
+        let stop = AtomicBool::new(false);
+        let q = Aabb::cube(Vec3::ZERO, 100.0);
+        std::thread::scope(|scope| {
+            for _ in 0..READERS {
+                scope.spawn(|| {
+                    // Each reader holds at most one pin at a time: a
+                    // query's view, then an index guard.
+                    while !stop.load(Ordering::Acquire) {
+                        assert!(db.query().range(q).count().expect("range") >= 8);
+                        assert!(db.index().len() >= 8);
+                    }
+                });
+            }
+            let _stop = StopOnDrop(&stop);
+            for i in 0..REFREEZES {
+                // Insert a segment, then remove it: every refreeze has a
+                // delta to fold and the database stays small.
+                let op = if i % 2 == 0 {
+                    WriteOp::Insert(fresh_segment(1_000 + i, 0.5))
+                } else {
+                    WriteOp::Remove(1_000 + i - 1)
+                };
+                db.write_batch(&[op]).expect("acked");
+                assert_eq!(db.refreeze().expect("refrozen"), i + 1);
+                gens.push(Arc::downgrade(&core.gen.load()));
+                let n = alive(&gens);
+                assert!(n <= 2 + READERS, "after refreeze {i}: {n} generations alive");
+            }
+        });
+        assert_eq!(alive(&gens), 1, "once the readers stop, only the current generation lives");
+        assert!(gens.last().expect("installed").strong_count() > 0);
     }
 
     #[test]

@@ -50,6 +50,8 @@
 //! assert_eq!(stats.results as usize, hits.len());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod build;
 pub mod query;
 pub mod stats;

@@ -100,6 +100,15 @@ impl SessionStats {
         }
     }
 
+    /// Fold one step's trace into the running totals.
+    pub fn record(&mut self, trace: QueryTrace) {
+        self.total_stall_ms += trace.stall_ms;
+        self.total_demand_hits += trace.demand_hits;
+        self.total_demand_misses += trace.demand_misses;
+        self.total_prefetched += trace.prefetched;
+        self.steps.push(trace);
+    }
+
     /// Walkthrough speedup relative to a baseline run (stall time ratio).
     pub fn speedup_over(&self, baseline: &SessionStats) -> f64 {
         if self.total_stall_ms <= 0.0 {
@@ -148,10 +157,10 @@ impl<I: PagedIndex> ExplorationSession<I> {
     /// Replay `path` with `prefetcher`. Deterministic. One cursor, one
     /// [`SessionCursor::step`] per path query.
     pub fn run(&self, path: &NavigationPath, prefetcher: &mut dyn Prefetcher) -> SessionStats {
-        let mut state = StepState::new(self, prefetcher.name());
+        let mut state = StepState::new(&self.index, self.config, prefetcher.name());
         prefetcher.reset();
         for q in &path.queries {
-            state.step(self, prefetcher, q);
+            state.step(prefetcher, q);
         }
         state.stats
     }
@@ -162,10 +171,8 @@ impl<I: PagedIndex> ExplorationSession<I> {
     /// repeated-query loops that do not know their whole path up front
     /// (an interactive viewer, the facade's `Query::session` binding).
     /// [`run`](Self::run) is exactly a cursor stepped over a whole path.
-    pub fn cursor(&self, mut prefetcher: Box<dyn Prefetcher>) -> SessionCursor<'_, I> {
-        prefetcher.reset();
-        let state = StepState::new(self, prefetcher.name());
-        SessionCursor { session: self, prefetcher, state }
+    pub fn cursor(&self, prefetcher: Box<dyn Prefetcher>) -> SessionCursor<'_, I> {
+        SessionCursor::new(&self.index, self.config, prefetcher)
     }
 }
 
@@ -174,6 +181,8 @@ impl<I: PagedIndex> ExplorationSession<I> {
 /// per-step buffers (after the first step has sized them, the demand
 /// phase stops allocating).
 struct StepState<'s, I: PagedIndex> {
+    index: &'s I,
+    config: SessionConfig,
     disk: DiskSim,
     pool: BufferPool,
     /// Pages inserted by prefetch that have not yet served a demand
@@ -190,10 +199,12 @@ struct StepState<'s, I: PagedIndex> {
 }
 
 impl<'s, I: PagedIndex> StepState<'s, I> {
-    fn new(session: &ExplorationSession<I>, method: &str) -> Self {
+    fn new(index: &'s I, config: SessionConfig, method: &str) -> Self {
         StepState {
-            disk: DiskSim::new(u64::MAX, session.config.cost),
-            pool: BufferPool::new(session.config.buffer_pages),
+            index,
+            config,
+            disk: DiskSim::new(u64::MAX, config.cost),
+            pool: BufferPool::new(config.buffer_pages),
             pending_prefetch: HashMap::new(),
             history: Vec::new(),
             scratch: I::Scratch::default(),
@@ -208,12 +219,8 @@ impl<'s, I: PagedIndex> StepState<'s, I> {
     /// Advance one step: demand phase (stalling on misses), then the
     /// think-time prefetch phase. Appends to the running statistics and
     /// returns this step's trace.
-    fn step(
-        &mut self,
-        session: &'s ExplorationSession<I>,
-        prefetcher: &mut dyn Prefetcher,
-        q: &Aabb,
-    ) -> QueryTrace {
+    fn step(&mut self, prefetcher: &mut dyn Prefetcher, q: &Aabb) -> QueryTrace {
+        let index = self.index;
         self.history.push(q.center());
         let mut trace = QueryTrace::default();
 
@@ -222,7 +229,7 @@ impl<'s, I: PagedIndex> StepState<'s, I> {
         self.result.clear();
         let (pool, pending, stats) = (&mut self.pool, &mut self.pending_prefetch, &mut self.stats);
         let (pages_read, disk) = (&mut self.pages_read, &self.disk);
-        session.index.paged_range_query_scratch(
+        index.paged_range_query_scratch(
             q,
             &mut self.scratch,
             &mut |p| {
@@ -256,17 +263,17 @@ impl<'s, I: PagedIndex> StepState<'s, I> {
         // Real pages only, each once, in plan order: overlapping regions
         // name a page twice, and its second copy would cost think time
         // again if the first had been evicted by the time it came up.
-        let page_count = session.index.page_count();
+        let page_count = index.page_count();
         self.planned_pages.clear();
         self.plan_marks.begin(page_count);
-        let regions = plan.regions.iter().flat_map(|r| session.index.pages_intersecting(r));
+        let regions = plan.regions.iter().flat_map(|r| index.pages_intersecting(r));
         for p in plan.pages.iter().copied().chain(regions) {
             if (p as usize) < page_count && self.plan_marks.mark(p as usize) {
                 self.planned_pages.push(p);
             }
         }
 
-        let mut budget = session.config.think_time_ms;
+        let mut budget = self.config.think_time_ms;
         for &p in &self.planned_pages {
             if budget <= 0.0 {
                 break; // think time exhausted: remaining plan dropped
@@ -284,32 +291,37 @@ impl<'s, I: PagedIndex> StepState<'s, I> {
             self.pending_prefetch.insert(p, ());
         }
 
-        self.stats.total_stall_ms += trace.stall_ms;
-        self.stats.total_demand_hits += trace.demand_hits;
-        self.stats.total_demand_misses += trace.demand_misses;
-        self.stats.total_prefetched += trace.prefetched;
-        self.stats.steps.push(trace);
+        self.stats.record(trace);
         trace
     }
 }
 
 /// A step-wise exploration session: feed queries one at a time, read the
 /// accumulated Figure-6 statistics whenever you like. Created by
-/// [`ExplorationSession::cursor`]; owns its prefetcher, simulated disk,
-/// buffer pool and reusable per-step buffers, so repeated steps are as
-/// allocation-disciplined as a whole-path [`ExplorationSession::run`].
+/// [`SessionCursor::new`] or [`ExplorationSession::cursor`]; owns its
+/// prefetcher, simulated disk, buffer pool and reusable per-step
+/// buffers, so repeated steps are as allocation-disciplined as a
+/// whole-path [`ExplorationSession::run`].
 pub struct SessionCursor<'s, I: PagedIndex = FlatIndex<NeuronSegment>> {
-    session: &'s ExplorationSession<I>,
     prefetcher: Box<dyn Prefetcher>,
     state: StepState<'s, I>,
 }
 
 impl<'s, I: PagedIndex> SessionCursor<'s, I> {
+    /// Bind a cursor straight over a paged index: no
+    /// [`ExplorationSession`] needed, the cursor borrows `index` and
+    /// keeps its own copy of `config`.
+    pub fn new(index: &'s I, config: SessionConfig, mut prefetcher: Box<dyn Prefetcher>) -> Self {
+        prefetcher.reset();
+        let state = StepState::new(index, config, prefetcher.name());
+        SessionCursor { prefetcher, state }
+    }
+
     /// Advance the walkthrough by one query: demand phase (stalling on
     /// pool misses), then think-time prefetching. Returns this step's
     /// trace.
     pub fn step(&mut self, q: &Aabb) -> QueryTrace {
-        self.state.step(self.session, self.prefetcher.as_mut(), q)
+        self.state.step(self.prefetcher.as_mut(), q)
     }
 
     /// The result segments of the most recent step, in emission order.

@@ -189,6 +189,9 @@ pub enum StorageError {
         /// Every page that failed validation, ascending.
         pages: Vec<u64>,
     },
+    /// A write-ahead log refused a write because an earlier commit or
+    /// checkpoint on it failed; reopen the log to recover.
+    WalFailed,
 }
 
 impl std::fmt::Display for StorageError {
@@ -216,6 +219,9 @@ impl std::fmt::Display for StorageError {
             }
             StorageError::BadPages { pages } => {
                 write!(f, "{} corrupt page(s): {pages:?}", pages.len())
+            }
+            StorageError::WalFailed => {
+                write!(f, "write-ahead log refuses writes after a failed commit; reopen it")
             }
         }
     }

@@ -47,6 +47,18 @@
 //! acknowledged, and leaving them would splice them into the *next*
 //! commit's batch.
 //!
+//! ## A failed write stops the log
+//!
+//! When a commit or checkpoint fails, the [`Wal`] cannot know how much
+//! of it reached the disk: a commit whose append landed but whose fsync
+//! failed leaves a complete batch, COMMIT marker included, that the
+//! caller was told had failed. Were the log to take further commits, the
+//! next one would land after that batch and make it replayable. So the
+//! first failure latches the log shut: every later
+//! [`append`](Wal::append), [`commit`](Wal::commit) and
+//! [`checkpoint`](Wal::checkpoint) returns [`StorageError::WalFailed`]
+//! until the log is reopened, and replay then decides what is durable.
+//!
 //! ## Fault injection
 //!
 //! All writes go through the [`LogIo`] seam — the write-side analogue of
@@ -233,6 +245,9 @@ pub struct Wal {
     next_lsn: u64,
     commits: u64,
     checkpoints: u64,
+    /// Set by the first failed commit or checkpoint; refuses every later
+    /// write until the log is reopened.
+    failed: bool,
 }
 
 fn encode_record(out: &mut Vec<u8>, kind: u8, lsn: u64, payload: &[u8]) {
@@ -273,6 +288,7 @@ impl Wal {
                 next_lsn: 1,
                 commits: 0,
                 checkpoints: 0,
+                failed: false,
             };
             return Ok((wal, WalRecovery::default()));
         }
@@ -363,27 +379,40 @@ impl Wal {
             next_lsn: last_lsn_kept + 1,
             commits: 0,
             checkpoints: 0,
+            failed: false,
         };
         Ok((wal, recovery))
     }
 
     /// Buffer one opaque DATA record and return its LSN. **Not durable**
     /// until [`commit`](Self::commit) succeeds; a crash before the
-    /// commit erases it on replay.
-    pub fn append(&mut self, payload: &[u8]) -> u64 {
+    /// commit erases it on replay. Refused with
+    /// [`StorageError::WalFailed`] once a commit or checkpoint has failed.
+    pub fn append(&mut self, payload: &[u8]) -> Result<u64, StorageError> {
+        self.check_healthy()?;
         let lsn = self.next_lsn;
         self.next_lsn += 1;
         encode_record(&mut self.pending, WAL_KIND_DATA, lsn, payload);
         self.pending_records += 1;
-        lsn
+        Ok(lsn)
+    }
+
+    fn check_healthy(&self) -> Result<(), StorageError> {
+        if self.failed {
+            Err(StorageError::WalFailed)
+        } else {
+            Ok(())
+        }
     }
 
     /// Group commit: write every buffered record plus a COMMIT marker in
     /// one append, then fsync. On success the returned LSN (the COMMIT
     /// marker's) is the caller's acknowledgement token. On failure the
-    /// buffered records are discarded — they were never acknowledged and
-    /// replay is guaranteed to drop whatever fraction reached the disk.
+    /// buffered records are discarded and the log refuses every later
+    /// write until it is reopened (see the module docs: the batch may
+    /// have reached the disk whole, and replay decides).
     pub fn commit(&mut self) -> Result<u64, StorageError> {
+        self.check_healthy()?;
         let wobs = crate::metrics::wal_obs();
         let _commit_span =
             neurospatial_obs::span_timed(neurospatial_obs::Stage::WalCommit, &wobs.commit_latency);
@@ -393,8 +422,9 @@ impl Wal {
         let group = self.pending_records;
         let batch = std::mem::take(&mut self.pending);
         self.pending_records = 0;
-        self.log.append(&batch)?;
-        self.log.sync()?;
+        let written = self.log.append(&batch).and_then(|()| self.log.sync());
+        self.failed = written.is_err();
+        written?;
         self.commits += 1;
         wobs.commits.inc();
         wobs.fsyncs.inc();
@@ -408,8 +438,11 @@ impl Wal {
     /// commits follow it. Callers must ensure `snapshot` reflects every
     /// committed record (the facade drains its delta under the writer
     /// lock first). Crash-safe: the replace is all-or-nothing, so a
-    /// failed checkpoint leaves the previous log fully intact.
+    /// failed checkpoint leaves the previous log fully intact — but the
+    /// handle may no longer point at it, so the log refuses every later
+    /// write until it is reopened.
     pub fn checkpoint(&mut self, snapshot: &[u8]) -> Result<u64, StorageError> {
+        self.check_healthy()?;
         let lsn = self.next_lsn;
         let mut contents =
             Vec::with_capacity(WAL_HEADER_BYTES + WAL_RECORD_HEADER_BYTES + snapshot.len());
@@ -417,8 +450,9 @@ impl Wal {
         contents.extend_from_slice(&WAL_VERSION.to_le_bytes());
         contents.extend_from_slice(&0u64.to_le_bytes());
         encode_record(&mut contents, WAL_KIND_CHECKPOINT, lsn, snapshot);
-        self.log.replace(&contents)?;
-        self.log.sync()?;
+        let written = self.log.replace(&contents).and_then(|()| self.log.sync());
+        self.failed = written.is_err();
+        written?;
         let wobs = crate::metrics::wal_obs();
         wobs.checkpoints.inc();
         wobs.fsyncs.inc();
@@ -466,6 +500,7 @@ mod tests {
     use crate::fault::{FaultLog, FaultPlan};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Arc, Mutex};
 
     fn temp_path(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -487,12 +522,12 @@ mod tests {
         {
             let (mut wal, rec) = Wal::open(&t.0).expect("create");
             assert_eq!(rec, WalRecovery::default());
-            let a = wal.append(b"op-a");
-            let b = wal.append(b"op-b");
+            let a = wal.append(b"op-a").expect("append");
+            let b = wal.append(b"op-b").expect("append");
             assert!(b > a);
             let c = wal.commit().expect("commit");
             assert!(c > b);
-            wal.append(b"op-c");
+            wal.append(b"op-c").expect("append");
             wal.commit().expect("commit 2");
         }
         let (wal, rec) = Wal::open(&t.0).expect("reopen");
@@ -507,9 +542,9 @@ mod tests {
         let t = TempFile(temp_path("uncommitted"));
         {
             let (mut wal, _) = Wal::open(&t.0).expect("create");
-            wal.append(b"durable");
+            wal.append(b"durable").expect("append");
             wal.commit().expect("commit");
-            wal.append(b"buffered only, never committed");
+            wal.append(b"buffered only, never committed").expect("append");
             // Dropped without commit: the record never reaches the disk.
         }
         let (_, rec) = Wal::open(&t.0).expect("reopen");
@@ -522,11 +557,11 @@ mod tests {
         let t = TempFile(temp_path("checkpoint"));
         {
             let (mut wal, _) = Wal::open(&t.0).expect("create");
-            wal.append(b"pre-1");
-            wal.append(b"pre-2");
+            wal.append(b"pre-1").expect("append");
+            wal.append(b"pre-2").expect("append");
             wal.commit().expect("commit");
             wal.checkpoint(b"snapshot-state").expect("checkpoint");
-            wal.append(b"post-1");
+            wal.append(b"post-1").expect("append");
             wal.commit().expect("commit");
         }
         let (wal, rec) = Wal::open(&t.0).expect("reopen");
@@ -541,7 +576,7 @@ mod tests {
         let t = TempFile(temp_path("torn"));
         {
             let (mut wal, _) = Wal::open(&t.0).expect("create");
-            wal.append(b"kept");
+            wal.append(b"kept").expect("append");
             wal.commit().expect("commit");
         }
         // Simulate a crash mid-append: half a record of garbage.
@@ -554,7 +589,7 @@ mod tests {
         assert_eq!(rec.ops, vec![b"kept".to_vec()]);
         assert!(rec.truncated_tail);
         assert_eq!(rec.truncated_bytes, 11);
-        wal.append(b"after-recovery");
+        wal.append(b"after-recovery").expect("append");
         wal.commit().expect("commit after recovery");
         let (_, rec2) = Wal::open(&t.0).expect("reopen 2");
         assert_eq!(rec2.ops, vec![b"kept".to_vec(), b"after-recovery".to_vec()]);
@@ -566,9 +601,9 @@ mod tests {
         let t = TempFile(temp_path("midrot"));
         {
             let (mut wal, _) = Wal::open(&t.0).expect("create");
-            wal.append(b"first");
+            wal.append(b"first").expect("append");
             wal.commit().expect("commit");
-            wal.append(b"second");
+            wal.append(b"second").expect("append");
             wal.commit().expect("commit");
         }
         // Flip one payload byte of the *first* record: valid bytes
@@ -596,7 +631,7 @@ mod tests {
         {
             let (mut wal, _) =
                 Wal::open_log(Box::new(FileLog::open(&t.0).expect("filelog"))).expect("create");
-            wal.append(b"acked-op");
+            wal.append(b"acked-op").expect("append");
             wal.commit().expect("commit");
             acked = wal.bytes();
         }
@@ -608,17 +643,95 @@ mod tests {
             let (mut wal, rec) =
                 Wal::open_log(Box::new(FaultLog::new(inner, plan))).expect("open faulted");
             assert!(!rec.truncated_tail);
-            wal.append(b"never-acked");
+            wal.append(b"never-acked").expect("append");
             let err = wal.commit().expect_err("crash point reached");
             assert!(!err.is_transient(), "a crash is not retryable: {err:?}");
-            // Post-crash, the log is dead: further commits fail too.
-            wal.append(b"also dead");
-            wal.commit().expect_err("still crashed");
+            // Post-crash, the log is latched shut: further writes fail too.
+            assert_eq!(wal.append(b"also dead"), Err(StorageError::WalFailed));
+            assert_eq!(wal.commit(), Err(StorageError::WalFailed));
         }
         let (wal, rec) = Wal::open(&t.0).expect("recover");
         assert_eq!(rec.ops, vec![b"acked-op".to_vec()]);
         assert!(rec.truncated_tail, "the torn fragment was on disk");
         assert_eq!(wal.bytes(), acked, "recovery trims back to the acked prefix");
+    }
+
+    /// An in-memory log whose bytes outlive it, so a test can reopen
+    /// them, and whose first `sync` fails as an fsync reporting EIO does.
+    struct FailFirstSync {
+        bytes: Arc<Mutex<Vec<u8>>>,
+        fail_sync: bool,
+    }
+
+    impl LogIo for FailFirstSync {
+        fn read_all(&mut self, buf: &mut Vec<u8>) -> Result<(), StorageError> {
+            buf.clear();
+            buf.extend_from_slice(&self.bytes.lock().expect("log bytes"));
+            Ok(())
+        }
+
+        fn append(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
+            self.bytes.lock().expect("log bytes").extend_from_slice(bytes);
+            Ok(())
+        }
+
+        fn sync(&mut self) -> Result<(), StorageError> {
+            if std::mem::take(&mut self.fail_sync) {
+                return Err(StorageError::Io {
+                    kind: std::io::ErrorKind::Other,
+                    context: "sync wal",
+                });
+            }
+            Ok(())
+        }
+
+        fn truncate(&mut self, len: u64) -> Result<(), StorageError> {
+            self.bytes.lock().expect("log bytes").truncate(len as usize);
+            Ok(())
+        }
+
+        fn replace(&mut self, contents: &[u8]) -> Result<(), StorageError> {
+            *self.bytes.lock().expect("log bytes") = contents.to_vec();
+            Ok(())
+        }
+
+        fn len(&self) -> u64 {
+            self.bytes.lock().expect("log bytes").len() as u64
+        }
+    }
+
+    #[test]
+    fn failed_sync_latches_the_log_until_reopen() {
+        let bytes = Arc::new(Mutex::new(Vec::new()));
+        let open = |fail_sync| {
+            let log = FailFirstSync { bytes: Arc::clone(&bytes), fail_sync };
+            Wal::open_log(Box::new(log)).expect("open")
+        };
+        {
+            let (mut wal, _) = open(false);
+            wal.append(b"acked").expect("append");
+            wal.commit().expect("commit");
+        }
+        {
+            // Opening a non-empty, clean log does not sync, so the first
+            // sync this handle makes is the commit's.
+            let (mut wal, _) = open(true);
+            wal.append(b"unsynced").expect("append");
+            assert!(wal.commit().is_err(), "the failed fsync surfaces");
+            assert_eq!(wal.append(b"after"), Err(StorageError::WalFailed));
+            assert_eq!(wal.commit(), Err(StorageError::WalFailed));
+            assert_eq!(wal.checkpoint(b"erases history"), Err(StorageError::WalFailed));
+        }
+        // The failed batch reached the log whole, so replay keeps it (a
+        // failed fsync says nothing about what is durable), but nothing
+        // committed after the failure exists, and the refused checkpoint
+        // did not erase the history before it.
+        let (mut wal, rec) = open(false);
+        assert_eq!(rec.ops, vec![b"acked".to_vec(), b"unsynced".to_vec()]);
+        assert!(rec.snapshot.is_none());
+        // Reopening clears the latch.
+        wal.append(b"fresh").expect("append");
+        wal.commit().expect("commit after reopen");
     }
 
     #[test]
@@ -632,9 +745,9 @@ mod tests {
             let plan = FaultPlan::new(2).with_write_flip(flip_at, 0x40);
             let (mut wal, _) =
                 Wal::open_log(Box::new(FaultLog::new(inner, plan))).expect("open faulted");
-            wal.append(b"rotting");
+            wal.append(b"rotting").expect("append");
             wal.commit().expect("commit still succeeds: fsync lied");
-            wal.append(b"healthy");
+            wal.append(b"healthy").expect("append");
             wal.commit().expect("commit 2");
         }
         assert!(
@@ -648,7 +761,7 @@ mod tests {
         let t = TempFile(temp_path("ckptcrash"));
         {
             let (mut wal, _) = Wal::open(&t.0).expect("create");
-            wal.append(b"survives");
+            wal.append(b"survives").expect("append");
             wal.commit().expect("commit");
         }
         {
